@@ -26,6 +26,11 @@ break the contracts the engines rely on:
   that varies between two runs of the same workload would break
   bit-identical replay.  (Writes *to* ALL_CAPS telemetry singletons are
   not flagged — counters are write-only engine telemetry by design.)
+- PRO105: modules named in :data:`HOT_PATH_MODULES` (the cycle tier's
+  per-µop and per-cycle code) must not read ``Op.<MEMBER>`` inside a
+  function body.  ``EnumType`` defines ``__getattr__``, so every member read
+  takes the slow attribute hook (~100 ns on CPython 3.11, against ~10 ns
+  for a global); bind the members once at module level instead.
 """
 
 from __future__ import annotations
@@ -68,6 +73,20 @@ PURE_MODULES: Tuple[str, ...] = (
 
 #: Fixture/ad-hoc files opt into PRO104 with a ``pure-module`` pragma.
 _PURE_PRAGMA_RE = re.compile(r"#\s*detlint:\s*pure-module\b")
+
+#: Cycle-tier modules whose functions run per µop or per cycle (PRO105):
+#: they classify ops through the decoded per-op record
+#: (``repro.cpu.backend.OP_META``) and module-level ``Op`` bindings only.
+HOT_PATH_MODULES: Tuple[str, ...] = (
+    "repro.cpu.backend",
+    "repro.cpu.branch",
+    "repro.cpu.core",
+    "repro.cpu.macroop",
+    "repro.cpu.uopcache",
+)
+
+#: Fixture/ad-hoc files opt into PRO105 with a ``hot-path-module`` pragma.
+_HOT_PATH_PRAGMA_RE = re.compile(r"#\s*detlint:\s*hot-path-module\b")
 
 #: Wall-clock and entropy sources a pure module may never import.
 _IMPURE_IMPORTS = frozenset(("time", "datetime", "random", "secrets", "uuid"))
@@ -411,3 +430,69 @@ class SimulationPurityRule(Rule):
                         f"pure function {fn.name} reads mutable module "
                         f"global {node.id}",
                     )
+
+
+def _op_aliases(tree: ast.AST) -> Set[str]:
+    """Names the module binds to the ``Op`` enum (``Op`` or ``Op as X``)."""
+    names = {"Op"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "Op" and alias.asname:
+                    names.add(alias.asname)
+    return names
+
+
+def _is_op_ref(node: ast.expr, aliases: Set[str]) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in aliases
+    return isinstance(node, ast.Attribute) and node.attr == "Op"
+
+
+@register
+class HotPathEnumReadRule(Rule):
+    """PRO105 — no enum member reads inside hot-path functions."""
+
+    rule_id = "PRO105"
+    description = (
+        "cycle-tier hot-path module reads an Op.<MEMBER> enum attribute "
+        "inside a function body"
+    )
+    hint = (
+        "bind the member once at module level (`_LOAD = Op.LOAD`) and test "
+        "identity against the binding, or classify through the decoded "
+        "per-op record (repro.cpu.backend.OP_META) at decode time"
+    )
+
+    def _applies(self, module: ModuleSource) -> bool:
+        return module.module in HOT_PATH_MODULES or bool(
+            _HOT_PATH_PRAGMA_RE.search(module.text)
+        )
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        if not self._applies(module):
+            return
+        aliases = _op_aliases(module.tree)
+        seen: Set[int] = set()
+        for fn in ast.walk(module.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            # Only the body runs per call; defaults and decorators are
+            # evaluated once, at definition time.
+            body = [fn.body] if isinstance(fn, ast.Lambda) else fn.body
+            for stmt in body:
+                for node in ast.walk(stmt):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr.isupper()
+                        and _is_op_ref(node.value, aliases)
+                        and id(node) not in seen
+                    ):
+                        seen.add(id(node))
+                        name = getattr(fn, "name", "<lambda>")
+                        yield self.finding(
+                            module,
+                            node,
+                            f"hot-path function {name} reads enum member "
+                            f"Op.{node.attr}",
+                        )

@@ -10,11 +10,14 @@ microcode is injected as µop streams by the front-end.  Each µop carries the
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.cpu.config import CoreParams
 from repro.cpu.isa import (
+    BRANCH_OPS,
+    COND_BRANCH_OPS,
     DIV_OPS,
     FP_OPS,
     INT_ALU_OPS,
@@ -29,11 +32,20 @@ ST_READY = 1  # eligible for issue
 ST_EXECUTING = 2
 ST_DONE = 3
 
+# Op members bound once at import: an enum member read inside a function
+# takes ``EnumType``'s slow attribute hook (detlint PRO105).
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_FDIV = Op.FDIV
+
 # TESTUI is gated to the ROB head (not a stall) so it observes the
 # architectural UIF, which CLUI/STUI update at commit.
 _SERIALIZING_OPS = frozenset((Op.MSR_WRITE, Op.STUI, Op.TESTUI))
-_BRANCH_OPS = frozenset((Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.JMP, Op.CALL, Op.RET))
-_COND_BRANCH_OPS = frozenset((Op.BEQ, Op.BNE, Op.BLT, Op.BGE))
+
+#: Execution-resource classes; a class's position is its ``fu_index``, the
+#: slot it occupies in :class:`FunctionalUnits`' per-cycle port tables.
+FU_CLASSES: Tuple[str, ...] = ("int", "mul", "fp", "mem", "branch", "other")
+_NO_PORTS_USED = (0,) * len(FU_CLASSES)
 
 
 def _classify_op(op: Op) -> str:
@@ -43,20 +55,54 @@ def _classify_op(op: Op) -> str:
         return "mul"
     if op in FP_OPS:
         return "fp"
-    if op in (Op.LOAD, Op.STORE):
+    if op is _LOAD or op is _STORE:
         return "mem"
-    if op in _BRANCH_OPS:
+    if op in BRANCH_OPS:
         return "branch"
     return "other"
 
 
-#: Per-op decode metadata, folded into one dict so the µop hot path pays a
-#: single enum-hash lookup instead of a chain of frozenset membership tests:
-#: ``(is_serializing, is_branch, is_cond_branch, fu_class)``.
-OP_META: Dict[Op, tuple] = {
-    op: (op in _SERIALIZING_OPS, op in _BRANCH_OPS, op in _COND_BRANCH_OPS, _classify_op(op))
-    for op in Op
-}
+@dataclass(frozen=True, slots=True)
+class OpMeta:
+    """The decoded per-op record: everything the pipeline asks about an op,
+    classified once at import.
+
+    Decode templates (:class:`repro.cpu.uopcache.UopCacheEntry`,
+    :class:`repro.cpu.microcode.MicroOp`) carry their op's record and
+    :class:`UOp` copies its flags, so no per-µop path hashes an :class:`Op`
+    or reads an enum member (both are Python-level and slow on CPython).
+    ``index`` is the op's dense position, keying per-core op tables such as
+    :class:`FunctionalUnits`' latency list.
+    """
+
+    op: Op
+    index: int
+    is_serializing: bool
+    is_branch: bool
+    is_cond_branch: bool
+    is_load: bool
+    is_store: bool
+    #: Position of the op's execution-resource class in :data:`FU_CLASSES`.
+    fu_index: int
+
+
+def _decode_op(op: Op, index: int) -> OpMeta:
+    return OpMeta(
+        op=op,
+        index=index,
+        is_serializing=op in _SERIALIZING_OPS,
+        is_branch=op in BRANCH_OPS,
+        is_cond_branch=op in COND_BRANCH_OPS,
+        is_load=op is _LOAD,
+        is_store=op is _STORE,
+        fu_index=FU_CLASSES.index(_classify_op(op)),
+    )
+
+
+#: Every op's record, in dense-index order.
+OP_RECORDS: Tuple[OpMeta, ...] = tuple(_decode_op(op, i) for i, op in enumerate(Op))
+#: Decode-time lookup from an op to its record (never used per µop).
+OP_META: Dict[Op, OpMeta] = {meta.op: meta for meta in OP_RECORDS}
 
 
 class UOp:
@@ -86,7 +132,6 @@ class UOp:
         "wait_count",
         "producers",
         "dependents",
-        "src_values",
         "result",
         "addr",
         "store_value",
@@ -100,39 +145,46 @@ class UOp:
         "is_serializing",
         "is_branch",
         "is_cond_branch",
-        "fu_class",
+        "is_load",
+        "is_store",
+        "op_index",
+        "fu_index",
     )
 
     def __init__(
         self,
         seq: int,
-        op: Op,
+        meta: OpMeta,
         pc: int,
         frontend_ready: int,
-        instr: Optional[Instruction] = None,
-        semantic: str = "",
-        is_micro: bool = False,
-        from_interrupt: bool = False,
-        macro_last: bool = True,
         dest: Optional[int] = None,
         src_regs: tuple = (),
         imm: int = 0,
+        extra_latency: int = 0,
+        from_interrupt: bool = False,
+        instr: Optional[Instruction] = None,
         target: Optional[int] = None,
         safepoint: bool = False,
-        chain: bool = False,
-        extra_latency: int = 0,
-        uitt_index: int = 0,
+        semantic: str = "",
+        is_micro: bool = False,
         macro_first: bool = True,
+        macro_last: bool = True,
+        chain: bool = False,
+        uitt_index: int = 0,
     ) -> None:
+        # The program-fetch path passes the first twelve arguments
+        # positionally: a keyword call to a class builds a kwargs dict.
         self.seq = seq
-        self.op = op
-        # Classified once at dispatch; read many times per µop on the
-        # complete/issue/squash paths.
-        meta = OP_META[op]
-        self.is_serializing = meta[0]
-        self.is_branch = meta[1]
-        self.is_cond_branch = meta[2]
-        self.fu_class = meta[3]
+        self.op = meta.op
+        # The decoded record's flags, copied once at dispatch; read many
+        # times per µop on the commit/complete/issue/squash paths.
+        self.is_serializing = meta.is_serializing
+        self.is_branch = meta.is_branch
+        self.is_cond_branch = meta.is_cond_branch
+        self.is_load = meta.is_load
+        self.is_store = meta.is_store
+        self.op_index = meta.index
+        self.fu_index = meta.fu_index
         self.pc = pc
         self.instr = instr
         self.semantic = semantic
@@ -157,7 +209,6 @@ class UOp:
         self.wait_count = 0
         self.producers: Dict[int, "UOp"] = {}
         self.dependents: List["UOp"] = []
-        self.src_values: Dict[int, int] = {}
         self.result: int = 0
         self.addr: Optional[int] = None
         self.store_value: int = 0
@@ -173,7 +224,7 @@ class UOp:
         producer = self.producers.get(reg)
         if producer is not None:
             return producer.result
-        return self.src_values.get(reg, arch_regs[reg])
+        return arch_regs[reg]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "µ" if self.is_micro else ""
@@ -181,13 +232,17 @@ class UOp:
 
 
 class FunctionalUnits:
-    """Per-cycle issue-bandwidth limits for each execution-resource class."""
+    """Per-cycle issue-bandwidth limits for each execution-resource class.
+
+    The tables are lists: port use and limits indexed by ``fu_index`` (the
+    class's position in :data:`FU_CLASSES`), latency by the op's dense
+    ``index`` — so the issue path never hashes an :class:`Op`.
+    """
 
     def __init__(self, params: CoreParams) -> None:
         self.params = params
         self._cycle = -1
-        self._used: Dict[str, int] = {}
-        self._limits = {
+        limits = {
             "int": params.int_alu_units,
             "mul": params.mul_units,
             "fp": params.fp_units,
@@ -195,27 +250,25 @@ class FunctionalUnits:
             "branch": 2,
             "other": params.issue_width,
         }
+        self._limits: List[int] = [limits[name] for name in FU_CLASSES]
+        self._used: List[int] = [0] * len(FU_CLASSES)
         # Per-op latency resolved once against this core's parameters; the
         # issue hot path reads the table instead of re-deriving per µop.
-        self._latency: Dict[Op, int] = {op: self._latency_of(op) for op in Op}
+        self._latency: List[int] = [self._latency_of(meta.op) for meta in OP_RECORDS]
 
-    @staticmethod
-    def classify(op: Op) -> str:
-        return OP_META[op][3]
-
-    def try_acquire(self, op: Op, cycle: int, unit: Optional[str] = None) -> bool:
+    def try_acquire(self, fu_index: int, cycle: int) -> bool:
+        """Claim one port of class ``fu_index`` this cycle, if one is free."""
         # Keyed on the cycle *value*, not on call count, so the bandwidth
         # table resets correctly when the cycle-skipping engine jumps the
         # clock over quiescent stretches.
+        used = self._used
         if cycle != self._cycle:
             self._cycle = cycle
-            self._used.clear()
-        if unit is None:
-            unit = OP_META[op][3]
-        used = self._used.get(unit, 0)
-        if used >= self._limits[unit]:
+            used[:] = _NO_PORTS_USED
+        count = used[fu_index]
+        if count >= self._limits[fu_index]:
             return False
-        self._used[unit] = used + 1
+        used[fu_index] = count + 1
         return True
 
     def _latency_of(self, op: Op) -> int:
@@ -224,14 +277,15 @@ class FunctionalUnits:
             return params.mul_latency
         if op in DIV_OPS:
             return params.div_latency
-        if op is Op.FDIV:
+        if op is _FDIV:
             return params.fp_div_latency
         if op in FP_OPS:
             return params.fp_latency
         return params.int_alu_latency
 
-    def latency(self, op: Op) -> int:
-        return self._latency[op]
+    def latency(self, op_index: int) -> int:
+        """Execution latency of the op with dense index ``op_index``."""
+        return self._latency[op_index]
 
 
 class LoadStoreQueues:
@@ -249,19 +303,19 @@ class LoadStoreQueues:
         return len(self.stores) < self.params.sq_size
 
     def add(self, uop: UOp) -> None:
-        if uop.op is Op.LOAD:
+        if uop.is_load:
             if not self.has_load_slot():
                 raise SimulationError("load queue overflow")
             self.loads.append(uop)
-        elif uop.op is Op.STORE:
+        elif uop.is_store:
             if not self.has_store_slot():
                 raise SimulationError("store queue overflow")
             self.stores.append(uop)
 
     def remove(self, uop: UOp) -> None:
-        if uop.op is Op.LOAD and uop in self.loads:
+        if uop.is_load and uop in self.loads:
             self.loads.remove(uop)
-        elif uop.op is Op.STORE and uop in self.stores:
+        elif uop.is_store and uop in self.stores:
             self.stores.remove(uop)
 
     def has_unresolved_older_store(self, load: UOp) -> bool:

@@ -12,6 +12,12 @@ from typing import List, Optional, Tuple
 
 from repro.cpu.isa import Instruction, Op
 
+# Op members bound once at import (detlint PRO105): an enum member read
+# inside a function takes ``EnumType``'s slow attribute hook.
+_JMP = Op.JMP
+_CALL = Op.CALL
+_RET = Op.RET
+
 
 class GsharePredictor:
     """Global-history XOR-indexed table of 2-bit saturating counters."""
@@ -98,8 +104,9 @@ class BranchPredictor:
     """The front-end's combined predictor.
 
     ``predict(pc, instruction)`` returns ``(taken, target, history_token)``;
-    ``history_token`` must be passed back to :meth:`resolve` so training and
-    history recovery use the state in effect at prediction time.
+    ``history_token`` must be passed back to :meth:`resolve` (with the
+    branch's ``is_cond_branch`` bit) so training and history recovery use
+    the state in effect at prediction time.
     """
 
     def __init__(self, table_bits: int = 12, btb_entries: int = 1024) -> None:
@@ -112,14 +119,14 @@ class BranchPredictor:
     def predict(self, pc: int, instruction: Instruction) -> Tuple[bool, Optional[int], int]:
         self.predictions += 1
         op = instruction.op
-        if op in (Op.JMP, Op.CALL):
+        if op is _JMP or op is _CALL:
             # Direct unconditional: target known at decode.
             target = instruction.target if isinstance(instruction.target, int) else None
-            if op is Op.CALL:
+            if op is _CALL:
                 self.ras.push(pc + 1)
             history = self.gshare.record_speculative(True)
             return True, target, history
-        if op is Op.RET:
+        if op is _RET:
             target = self.ras.pop()
             history = self.gshare.record_speculative(True)
             return True, target, history
@@ -139,15 +146,18 @@ class BranchPredictor:
     def resolve(
         self,
         pc: int,
-        instruction: Instruction,
+        is_cond_branch: bool,
         history_token: int,
         actual_taken: bool,
         actual_target: int,
         predicted_taken: bool,
         predicted_target: Optional[int],
     ) -> bool:
-        """Train on the outcome; return True if this was a misprediction."""
-        if instruction.is_cond_branch:
+        """Train on the outcome; return True if this was a misprediction.
+
+        ``is_cond_branch`` is the resolving µop's decoded bit: only
+        conditional branches train the direction predictor."""
+        if is_cond_branch:
             self.gshare.update(pc, history_token, actual_taken)
         if actual_taken:
             self.btb.update(pc, actual_target)

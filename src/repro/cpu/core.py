@@ -33,7 +33,7 @@ from repro.cpu.config import SystemConfig
 from repro.cpu.isa import NUM_REGS, Instruction, Op, RegNames
 from repro.cpu import microcode as mc
 from repro.cpu.microcode import MicroOp
-from repro.cpu.program import Program, instruction_address
+from repro.cpu.program import CODE_BASE, INSTR_BYTES, Program
 from repro.cpu.uintr_state import KBTimerState, UserInterruptFile
 from repro.cpu.uopcache import UopCache
 from repro.sim.trace import TraceRecorder
@@ -41,6 +41,40 @@ from repro.uintr.apic import InterruptKind, LocalApic, PendingInterrupt
 from repro.uintr.upid import UPID
 
 MASK64 = (1 << 64) - 1
+# Op members bound once at import.  ``EnumType`` defines ``__getattr__``, so
+# an ``Op.X`` read inside a function takes the slow attribute hook (~100 ns
+# on CPython 3.11, against ~10 ns for a global); detlint PRO105 keeps them
+# out of every per-µop and per-cycle function here.
+_ADD = Op.ADD
+_SUB = Op.SUB
+_MUL = Op.MUL
+_DIV = Op.DIV
+_AND = Op.AND
+_OR = Op.OR
+_XOR = Op.XOR
+_SHL = Op.SHL
+_SHR = Op.SHR
+_MOV = Op.MOV
+_MOVI = Op.MOVI
+_FADD = Op.FADD
+_FMUL = Op.FMUL
+_FDIV = Op.FDIV
+_BEQ = Op.BEQ
+_BNE = Op.BNE
+_BLT = Op.BLT
+_JMP = Op.JMP
+_CALL = Op.CALL
+_RET = Op.RET
+_RDTSC = Op.RDTSC
+_HALT = Op.HALT
+_SENDUIPI = Op.SENDUIPI
+_UIRET = Op.UIRET
+_CLUI = Op.CLUI
+_STUI = Op.STUI
+_TESTUI = Op.TESTUI
+_SETTIMER = Op.SETTIMER
+_CLRTIMER = Op.CLRTIMER
+
 #: Pseudo-register key for microcode chain dependences.
 CHAIN_KEY = -1
 #: Store-to-load forwarding latency.
@@ -446,7 +480,7 @@ class Core:
                         if ruop.is_serializing and ruop is not rob_head:
                             continue  # deferred until it reaches the ROB head
                         if (
-                            ruop.op is Op.LOAD
+                            ruop.is_load
                             and (ruop.pc, ruop.is_micro) in self._conservative_loads
                             and self.lsq.has_unresolved_older_store(ruop)
                         ):
@@ -454,6 +488,8 @@ class Core:
                         return horizon
                 elif t < nxt:
                     nxt = t
+        params = self.params
+        lsq = self.lsq
         if (
             self.wait_reason is None
             and (
@@ -461,7 +497,11 @@ class Core:
                 or self.macro_pos < len(self.macro_queue)
                 or 0 <= self.fetch_pc < self._prog_len
             )
-            and self._backend_has_room()
+            # The fetch stage's back-end room check.
+            and len(rob) < params.rob_size
+            and self.iq_count < params.iq_size
+            and len(lsq.loads) < params.lq_size
+            and len(lsq.stores) < params.sq_size
         ):
             t = self.fetch_stall_until
             if t <= horizon:
@@ -520,8 +560,10 @@ class Core:
     # ------------------------------------------------------------------
 
     def _commit_stage(self) -> None:
-        budget = self.params.retire_width
         rob = self.rob
+        if not rob or rob[0].state != ST_DONE:
+            return
+        budget = self.params.retire_width
         while budget > 0 and rob:
             head = rob[0]
             if head.state != ST_DONE:
@@ -534,31 +576,33 @@ class Core:
 
     def _commit_uop(self, uop: UOp) -> None:
         self.stats.committed_uops += 1
-        op = uop.op
-        if op in (Op.LOAD, Op.STORE):
+        is_store = uop.is_store
+        if is_store or uop.is_load:
             self.lsq.remove(uop)
         # Architectural register update.
-        if uop.dest is not None:
-            self.arch_regs[uop.dest] = uop.result & MASK64
-            if self.reg_producer.get(uop.dest) is uop:
-                del self.reg_producer[uop.dest]
+        dest = uop.dest
+        if dest is not None:
+            self.arch_regs[dest] = uop.result & MASK64
+            if self.reg_producer.get(dest) is uop:
+                del self.reg_producer[dest]
         # Memory write.
-        if op is Op.STORE and uop.addr is not None and not uop.semantic:
+        if is_store and uop.addr is not None and not uop.semantic:
             self.shared.write(uop.addr, uop.store_value & MASK64, core_id=self.core_id)
         # Microcode / special semantics.
         if uop.semantic:
             self._apply_semantic(uop)
-        if op is Op.CLUI:
+        op = uop.op
+        if op is _CLUI:
             self.uintr.uif = False
-        elif op is Op.STUI:
+        elif op is _STUI:
             self.uintr.uif = True
-        elif op is Op.SETTIMER:
+        elif op is _SETTIMER:
             self._apply_set_timer(uop)
-        elif op is Op.CLRTIMER:
+        elif op is _CLRTIMER:
             self.uintr.kb_timer.disarm()
-        elif op is Op.UIRET:
+        elif op is _UIRET:
             self._commit_uiret(uop)
-        elif op is Op.HALT:
+        elif op is _HALT:
             self.halted = True
         # Instruction accounting.
         if uop.macro_last and not uop.is_micro:
@@ -667,7 +711,10 @@ class Core:
     def _complete_stage(self) -> None:
         exec_heap = self.exec_heap
         cycle = self.cycle
+        if not exec_heap or exec_heap[0][0] > cycle:
+            return
         heappop = heapq.heappop
+        heappush = heapq.heappush
         while exec_heap and exec_heap[0][0] <= cycle:
             _, _, uop = heappop(exec_heap)
             if uop.squashed:
@@ -678,17 +725,21 @@ class Core:
             for dependent in uop.dependents:
                 if dependent.squashed or dependent.state != ST_WAITING:
                     continue
-                dependent.wait_count -= 1
-                if dependent.wait_count == 0:
-                    self._mark_ready(dependent, max(cycle, dependent.frontend_ready))
+                wait_count = dependent.wait_count - 1
+                dependent.wait_count = wait_count
+                if wait_count == 0:
+                    # Operands complete: ready at the later of now and the
+                    # front-end arrival.
+                    ready = dependent.frontend_ready
+                    dependent.state = ST_READY
+                    heappush(
+                        self.ready_heap,
+                        (ready if ready > cycle else cycle, dependent.seq, dependent),
+                    )
             if uop.is_branch:
                 self._resolve_branch(uop)
-            elif uop.op is Op.UIRET:
+            elif uop.op is _UIRET:
                 self._uiret_redirect(uop)
-
-    def _mark_ready(self, uop: UOp, at_cycle: int) -> None:
-        uop.state = ST_READY
-        heapq.heappush(self.ready_heap, (at_cycle, uop.seq, uop))
 
     # -- branch resolution ----------------------------------------------
 
@@ -697,7 +748,7 @@ class Core:
         actual_target = uop.actual_target if uop.actual_target is not None else uop.pc + 1
         mispredicted = self.predictor.resolve(
             uop.pc,
-            uop.instr if uop.instr is not None else Instruction(uop.op),
+            uop.is_cond_branch,
             uop.history_token,
             actual_taken,
             actual_target,
@@ -713,7 +764,7 @@ class Core:
         self.predictor.gshare.record_speculative(actual_taken)
         if uop.ras_snapshot is not None:
             self.predictor.ras.restore(uop.ras_snapshot)
-            if uop.op is Op.CALL:
+            if uop.op is _CALL:
                 self.predictor.ras.push(uop.pc + 1)
         new_pc = actual_target if actual_taken else uop.pc + 1
         self._squash_younger_than(uop, new_pc)
@@ -832,55 +883,63 @@ class Core:
         if self._serialize_until >= 0:
             self.stats.serialize_stall_cycles += 1
             return
-        budget = self.params.issue_width
-        deferred: List[Tuple[int, int, UOp]] = []
         ready_heap = self.ready_heap
         cycle = self.cycle
+        if not ready_heap or ready_heap[0][0] > cycle:
+            return
+        budget = self.params.issue_width
+        deferred: List[Tuple[int, int, UOp]] = []
+        heappop = heapq.heappop
+        try_acquire = self.fus.try_acquire
         while budget > 0 and ready_heap and ready_heap[0][0] <= cycle:
-            _, seq, uop = heapq.heappop(ready_heap)
+            _, seq, uop = heappop(ready_heap)
             if uop.squashed or uop.state != ST_READY:
                 continue
             if uop.is_serializing and (not self.rob or self.rob[0] is not uop):
-                deferred.append((self.cycle + 1, seq, uop))
+                deferred.append((cycle + 1, seq, uop))
                 continue
             if (
-                uop.op is Op.LOAD
+                uop.is_load
                 and (uop.pc, uop.is_micro) in self._conservative_loads
                 and self.lsq.has_unresolved_older_store(uop)
             ):
                 # A load that has violated memory ordering before waits for
                 # older store addresses (store-set-style dependence predictor).
-                deferred.append((self.cycle + 1, seq, uop))
+                deferred.append((cycle + 1, seq, uop))
                 continue
-            if not self.fus.try_acquire(uop.op, self.cycle, uop.fu_class):
-                deferred.append((self.cycle + 1, seq, uop))
+            if not try_acquire(uop.fu_index, cycle):
+                deferred.append((cycle + 1, seq, uop))
                 continue
             self._start_execute(uop)
             budget -= 1
             if uop.is_serializing:
                 break
         for item in deferred:
-            heapq.heappush(self.ready_heap, item)
+            heapq.heappush(ready_heap, item)
 
     def _start_execute(self, uop: UOp) -> None:
         uop.state = ST_EXECUTING
         self.iq_count -= 1
-        latency = self.fus._latency[uop.op] + uop.extra_latency
-        op = uop.op
-        if op is Op.LOAD:
+        cycle = self.cycle
+        if uop.is_load:
             latency = self._execute_load(uop)
-        elif op is Op.STORE:
+        elif uop.is_store:
             latency = self._execute_store(uop) + uop.extra_latency
         else:
-            self._compute_result(uop)
-        if uop.is_serializing:
-            self._serialize_until = self.cycle + latency
-        if uop.is_branch:
-            self._compute_branch_outcome(uop)
+            latency = self.fus._latency[uop.op_index] + uop.extra_latency
+            # A branch's result stays the 0 it was built with (CALL's link
+            # value is set with its outcome).
+            if uop.is_branch:
+                self._compute_branch_outcome(uop)
+            else:
+                self._compute_result(uop)
+            if uop.is_serializing:
+                self._serialize_until = cycle + latency
         if uop.semantic == "senduipi_entry":
-            self.trace.record(self.cycle, "senduipi_start", core=self.core_id)
-        uop.complete_cycle = self.cycle + max(1, latency)
-        heapq.heappush(self.exec_heap, (uop.complete_cycle, uop.seq, uop))
+            self.trace.record(cycle, "senduipi_start", core=self.core_id)
+        complete = cycle + latency if latency > 1 else cycle + 1
+        uop.complete_cycle = complete
+        heapq.heappush(self.exec_heap, (complete, uop.seq, uop))
 
     def _resolve_mem_addr(self, uop: UOp) -> int:
         if uop.semantic in mc.ARCH_ADDR_SEMANTICS:
@@ -966,23 +1025,25 @@ class Core:
 
     def _compute_branch_outcome(self, uop: UOp) -> None:
         op = uop.op
-        if op in (Op.JMP, Op.CALL):
+        if op is _JMP or op is _CALL:
             uop.actual_taken = True
             uop.actual_target = uop.target
-            if op is Op.CALL:
+            if op is _CALL:
                 uop.result = uop.pc + 1  # link register value
             return
-        if op is Op.RET:
+        if op is _RET:
             uop.actual_taken = True
             uop.actual_target = uop.source_value(RegNames.LR, self.arch_regs) & MASK64
             return
-        lhs = uop.source_value(uop.src_regs[0], self.arch_regs)
-        rhs = uop.source_value(uop.src_regs[1], self.arch_regs) if len(uop.src_regs) > 1 else uop.imm
-        if op is Op.BEQ:
+        regs = self.arch_regs
+        srcs = uop.src_regs
+        lhs = uop.source_value(srcs[0], regs)
+        rhs = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+        if op is _BEQ:
             taken = lhs == rhs
-        elif op is Op.BNE:
+        elif op is _BNE:
             taken = lhs != rhs
-        elif op is Op.BLT:
+        elif op is _BLT:
             taken = _signed(lhs) < _signed(rhs)
         else:  # BGE
             taken = _signed(lhs) >= _signed(rhs)
@@ -992,49 +1053,50 @@ class Core:
     def _compute_result(self, uop: UOp) -> None:
         op = uop.op
         regs = self.arch_regs
-        if op in (Op.ADD, Op.FADD):
-            a = uop.source_value(uop.src_regs[0], regs) if uop.src_regs else 0
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
+        srcs = uop.src_regs
+        if op is _ADD or op is _FADD:
+            a = uop.source_value(srcs[0], regs) if srcs else 0
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
             uop.result = (a + b) & MASK64
-        elif op is Op.SUB:
-            a = uop.source_value(uop.src_regs[0], regs) if uop.src_regs else 0
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = (a - b) & MASK64
-        elif op in (Op.MUL, Op.FMUL):
-            a = uop.source_value(uop.src_regs[0], regs)
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = (a * b) & MASK64
-        elif op in (Op.DIV, Op.FDIV):
-            a = uop.source_value(uop.src_regs[0], regs)
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = (a // b) & MASK64 if b else 0
-        elif op is Op.AND:
-            a = uop.source_value(uop.src_regs[0], regs)
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = a & b
-        elif op is Op.OR:
-            a = uop.source_value(uop.src_regs[0], regs)
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = a | b
-        elif op is Op.XOR:
-            a = uop.source_value(uop.src_regs[0], regs)
-            b = uop.source_value(uop.src_regs[1], regs) if len(uop.src_regs) > 1 else uop.imm
-            uop.result = (a ^ b) & MASK64
-        elif op is Op.SHL:
-            a = uop.source_value(uop.src_regs[0], regs)
-            uop.result = (a << (uop.imm & 63)) & MASK64
-        elif op is Op.SHR:
-            a = uop.source_value(uop.src_regs[0], regs)
-            uop.result = (a & MASK64) >> (uop.imm & 63)
-        elif op is Op.MOV:
-            uop.result = uop.source_value(uop.src_regs[0], regs)
-        elif op is Op.MOVI:
+        elif op is _MOVI:
             uop.result = uop.imm & MASK64
-        elif op is Op.RDTSC:
+        elif op is _SUB:
+            a = uop.source_value(srcs[0], regs) if srcs else 0
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = (a - b) & MASK64
+        elif op is _MUL or op is _FMUL:
+            a = uop.source_value(srcs[0], regs)
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = (a * b) & MASK64
+        elif op is _DIV or op is _FDIV:
+            a = uop.source_value(srcs[0], regs)
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = (a // b) & MASK64 if b else 0
+        elif op is _AND:
+            a = uop.source_value(srcs[0], regs)
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = a & b
+        elif op is _OR:
+            a = uop.source_value(srcs[0], regs)
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = a | b
+        elif op is _XOR:
+            a = uop.source_value(srcs[0], regs)
+            b = uop.source_value(srcs[1], regs) if len(srcs) > 1 else uop.imm
+            uop.result = (a ^ b) & MASK64
+        elif op is _SHL:
+            a = uop.source_value(srcs[0], regs)
+            uop.result = (a << (uop.imm & 63)) & MASK64
+        elif op is _SHR:
+            a = uop.source_value(srcs[0], regs)
+            uop.result = (a & MASK64) >> (uop.imm & 63)
+        elif op is _MOV:
+            uop.result = uop.source_value(srcs[0], regs)
+        elif op is _RDTSC:
             uop.result = self.cycle
-        elif op is Op.TESTUI:
+        elif op is _TESTUI:
             uop.result = int(self.uintr.uif)
-        elif op is Op.UIRET:
+        elif op is _UIRET:
             # Restores the pre-delivery stack pointer.
             uop.result = (uop.source_value(RegNames.SP, regs) + 24) & MASK64
         else:
@@ -1045,16 +1107,31 @@ class Core:
     # ------------------------------------------------------------------
 
     def _fetch_stage(self) -> None:
-        if self.wait_reason is not None:
-            if self.wait_reason == "drain":
+        wait_reason = self.wait_reason
+        if wait_reason is not None:
+            if wait_reason == "drain":
                 self.strategy.on_drain_wait()
             return
-        if self.cycle < self.fetch_stall_until:
+        cycle = self.cycle
+        if cycle < self.fetch_stall_until:
             return
-        budget = self.params.fetch_width
+        # Hoisted for the whole fetch group: nothing reachable from fetch
+        # squashes, so the ROB deque is not rebound inside this loop.  The
+        # rest is read where used, so a cycle whose back end is full (most
+        # cycles of a stalled core) exits without hoisting anything more.
+        params = self.params
+        rob = self.rob
+        lsq = self.lsq
+        budget = params.fetch_width
         micro_budget = self.timing.msrom_fetch_width
         while budget > 0:
-            if not self._backend_has_room():
+            # Back-end room: ROB, issue queue and both LSQ halves.
+            if (
+                len(rob) >= params.rob_size
+                or self.iq_count >= params.iq_size
+                or len(lsq.loads) >= params.lq_size
+                or len(lsq.stores) >= params.sq_size
+            ):
                 break
             if self.inject_pos < len(self.inject_queue):
                 if micro_budget <= 0:
@@ -1073,7 +1150,7 @@ class Core:
                         raise ProtocolError("interrupt delivery with no registered handler")
                     self.fetch_pc = handler
                     self._current_fetch_line = -1
-                    self.trace.record(self.cycle, "handler_fetch", core=self.core_id)
+                    self.trace.record(cycle, "handler_fetch", core=self.core_id)
                 continue
             if self.macro_pos < len(self.macro_queue):
                 if micro_budget <= 0:
@@ -1098,61 +1175,89 @@ class Core:
             # Instruction boundary: a staged (tracked) interrupt may inject here.
             if self.strategy.try_inject_at_boundary():
                 continue
-            if not self._fetch_program_instruction():
+            # Fetch one program instruction.
+            pc = self.fetch_pc
+            if pc >= self._prog_len or pc < 0:
                 break
+            addr = CODE_BASE + INSTR_BYTES * pc
+            line = addr // self.config.icache.line_bytes
+            if line != self._current_fetch_line:
+                latency = self.icache.fetch_latency(addr)
+                self._current_fetch_line = line
+                if latency > 0:
+                    self.fetch_stall_until = cycle + latency
+                    break
+            instr = self.program.instructions[pc]
+            if self._trace_resume_pending:
+                self._trace_resume_pending = False
+                self.trace.record(cycle, "resume_fetch", core=self.core_id)
+            if instr.op is _SENDUIPI:
+                self.macro_queue = mc.senduipi_routine_cached(self.timing, instr.imm)
+                self.macro_pos = 0
+                self.macro_pc = pc
+                self._last_chain_uop = None
+                self.fetch_pc = pc + 1
+                budget -= 1
+                continue
+            # Micro-op cache: a hit serves the *full* decoded template (op
+            # record, register slots, immediate, target, safepoint bit, extra
+            # latency) and skips the decode stages; a miss decodes, fills the
+            # template, and pays the full front-end depth (§4.4 carries the
+            # safepoint bit into the cached encoding).
+            uop_cache = self.uop_cache
+            entry = uop_cache.lookup(pc)
+            if entry is not None:
+                depth = params.frontend_depth - uop_cache.hit_depth_bonus
+                if depth < 1:
+                    depth = 1
+            else:
+                op = instr.op
+                extra = self.timing.stui_stall if op is _STUI else 0
+                if op is _UIRET:
+                    # uiret restores the pre-delivery stack pointer.
+                    dest = RegNames.SP
+                    src_regs = (RegNames.SP,)
+                else:
+                    dest = instr.dest_reg()
+                    src_regs = instr.source_regs()
+                entry = uop_cache.fill(pc, instr, dest, src_regs, extra_latency=extra)
+                depth = params.frontend_depth
+            seq = self._seq + 1
+            self._seq = seq
+            meta = entry.meta
+            # Positional: see UOp.__init__ for the argument order.
+            uop = UOp(
+                seq,
+                meta,
+                pc,
+                cycle + depth,
+                entry.dest,
+                entry.src_regs,
+                entry.imm,
+                entry.extra_latency,
+                self.interrupt_path,
+                instr,
+                entry.target,
+                entry.safepoint,
+            )
+            self._enter_backend(uop)
             budget -= 1
-
-    def _backend_has_room(self) -> bool:
-        lsq = self.lsq
-        params = self.params
-        return (
-            len(self.rob) < params.rob_size
-            and self.iq_count < params.iq_size
-            and len(lsq.loads) < params.lq_size
-            and len(lsq.stores) < params.sq_size
-        )
-
-    def _fetch_program_instruction(self) -> bool:
-        """Fetch/decode one program instruction; False to stop this cycle."""
-        if self.fetch_pc >= len(self.program) or self.fetch_pc < 0:
-            return False
-        addr = instruction_address(self.fetch_pc)
-        line = addr // self.config.icache.line_bytes
-        if line != self._current_fetch_line:
-            latency = self.icache.fetch_latency(addr)
-            self._current_fetch_line = line
-            if latency > 0:
-                self.fetch_stall_until = self.cycle + latency
-                return False
-        instr = self.program.at(self.fetch_pc)
-        if self._trace_resume_pending:
-            self._trace_resume_pending = False
-            self.trace.record(self.cycle, "resume_fetch", core=self.core_id)
-        op = instr.op
-        if op is Op.SENDUIPI:
-            self.macro_queue = mc.senduipi_routine_cached(self.timing, instr.imm)
-            self.macro_pos = 0
-            self.macro_pc = self.fetch_pc
-            self._last_chain_uop = None
-            self.fetch_pc += 1
-            return True
-        uop = self._dispatch_instruction(instr)
-        if op is Op.UIRET:
-            self.wait_reason = "uiret"
-            return False
-        if op is Op.HALT:
-            self.wait_reason = "halt"
-            return False
-        if uop.is_branch:
-            self._predict_and_redirect(uop, instr)
-            if uop.pred_taken:
-                return False  # taken branches end the fetch group
-        else:
-            self.fetch_pc += 1
-        return True
+            if meta.is_branch:
+                self._predict_and_redirect(uop, instr)
+                if uop.pred_taken:
+                    break  # taken branches end the fetch group
+            elif meta.op is _UIRET:
+                self.wait_reason = "uiret"
+                break
+            elif meta.op is _HALT:
+                self.wait_reason = "halt"
+                break
+            else:
+                self.fetch_pc = pc + 1
 
     def _predict_and_redirect(self, uop: UOp, instr: Instruction) -> None:
-        if instr.op in (Op.CALL, Op.RET):
+        op = uop.op
+        if op is _CALL or op is _RET:
             uop.ras_snapshot = self.predictor.ras.snapshot()
         taken, target, history = self.predictor.predict(self.fetch_pc, instr)
         uop.pred_taken = taken
@@ -1169,48 +1274,6 @@ class Core:
         else:
             self.fetch_pc = self.fetch_pc + 1
 
-    def _dispatch_instruction(self, instr: Instruction) -> UOp:
-        # Micro-op cache: a hit serves the *full* decoded template (register
-        # slots, immediate, target, safepoint bit, extra latency) and skips
-        # the decode stages; a miss decodes, fills the template, and pays the
-        # full front-end depth (§4.4 carries the safepoint bit into the
-        # cached encoding).
-        pc = self.fetch_pc
-        entry = self.uop_cache.lookup(pc)
-        if entry is not None:
-            depth = self.params.frontend_depth - self.uop_cache.hit_depth_bonus
-            if depth < 1:
-                depth = 1
-            dest = entry.dest
-            src_regs = entry.src_regs
-            extra = entry.extra_latency
-        else:
-            extra = self.timing.stui_stall if instr.op is Op.STUI else 0
-            dest = instr.dest_reg()
-            src_regs = instr.source_regs()
-            if instr.op is Op.UIRET:
-                # uiret restores the pre-delivery stack pointer.
-                dest = RegNames.SP
-                src_regs = (RegNames.SP,)
-            entry = self.uop_cache.fill(pc, instr, dest, src_regs, extra_latency=extra)
-            depth = self.params.frontend_depth
-        uop = UOp(
-            seq=self._next_seq(),
-            op=instr.op,
-            pc=pc,
-            frontend_ready=self.cycle + depth,
-            instr=instr,
-            from_interrupt=self.interrupt_path,
-            dest=dest,
-            src_regs=src_regs,
-            imm=entry.imm,
-            target=entry.target,
-            safepoint=entry.safepoint,
-            extra_latency=extra,
-        )
-        self._enter_backend(uop)
-        return uop
-
     def _dispatch_microop(
         self,
         micro: MicroOp,
@@ -1219,36 +1282,38 @@ class Core:
         macro_first: bool = False,
         macro_last: bool = False,
     ) -> UOp:
-        src_regs = micro.src_regs  # precomputed on the frozen MicroOp
         pc = macro_pc if macro_pc >= 0 else (
             self.uintr.ui_return_pc if self.uintr.ui_return_pc is not None else self.fetch_pc
         )
+        self._seq += 1
         uop = UOp(
-            seq=self._next_seq(),
-            op=micro.op,
-            pc=pc,
-            frontend_ready=self.cycle + self.params.frontend_depth,
+            self._seq,
+            micro.meta,
+            pc,
+            self.cycle + self.params.frontend_depth,
+            micro.dest,
+            micro.src_regs,  # precomputed on the frozen MicroOp
+            micro.imm,
+            micro.extra_latency,
+            from_interrupt,
             semantic=micro.semantic,
             is_micro=True,
-            from_interrupt=from_interrupt,
-            macro_last=macro_last,
             macro_first=macro_first,
-            dest=micro.dest,
-            src_regs=src_regs,
-            imm=micro.imm,
-            extra_latency=micro.extra_latency,
-            uitt_index=micro.imm,
+            macro_last=macro_last,
             chain=micro.chain,
+            uitt_index=micro.imm,
         )
         self._enter_backend(uop, chain_to=self._last_chain_uop if micro.chain else None)
         self._last_chain_uop = uop
         return uop
 
     def _enter_backend(self, uop: UOp, chain_to: Optional[UOp] = None) -> None:
+        """Rename ``uop`` and place it in the ROB, issue queue and LSQ."""
         self.stats.fetched_uops += 1
         # Rename: record producers for each source register.
+        reg_producer = self.reg_producer
         for reg in uop.src_regs:
-            producer = self.reg_producer.get(reg)
+            producer = reg_producer.get(reg)
             if producer is not None:
                 uop.producers[reg] = producer
                 if producer.state != ST_DONE:
@@ -1259,17 +1324,14 @@ class Core:
             uop.wait_count += 1
             chain_to.dependents.append(uop)
         if uop.dest is not None:
-            self.reg_producer[uop.dest] = uop
+            reg_producer[uop.dest] = uop
         self.rob.append(uop)
         self.iq_count += 1
-        if uop.op in (Op.LOAD, Op.STORE):
+        if uop.is_load or uop.is_store:
             self.lsq.add(uop)
         if uop.wait_count == 0:
-            self._mark_ready(uop, uop.frontend_ready)
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+            uop.state = ST_READY
+            heapq.heappush(self.ready_heap, (uop.frontend_ready, uop.seq, uop))
 
     # ------------------------------------------------------------------
     # Interrupt injection (called by delivery strategies)

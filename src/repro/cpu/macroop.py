@@ -78,6 +78,32 @@ SUPPORTED_OPS = frozenset(
 
 _BRANCH_OPS = frozenset((Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.JMP))
 
+# Op members bound once at import: an enum member read inside a function
+# takes ``EnumType``'s slow attribute hook (detlint PRO105), and
+# ``_evaluate`` classifies every unrolled position of a replay window.
+_ADD = Op.ADD
+_SUB = Op.SUB
+_MUL = Op.MUL
+_DIV = Op.DIV
+_AND = Op.AND
+_OR = Op.OR
+_MOV = Op.MOV
+_MOVI = Op.MOVI
+_SHL = Op.SHL
+_SHR = Op.SHR
+_FADD = Op.FADD
+_FMUL = Op.FMUL
+_FDIV = Op.FDIV
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_BEQ = Op.BEQ
+_BNE = Op.BNE
+_BLT = Op.BLT
+_BGE = Op.BGE
+_JMP = Op.JMP
+#: Ops whose operand 0 must be a register in a replay template.
+_NEEDS_SRC0_OPS = frozenset((Op.MOV, Op.SHL, Op.SHR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE))
+
 #: Boundaries a recording may scan for the shifted repeat before aborting.
 MAX_SCAN = 512
 #: Consecutive expired scan windows allowed to re-snapshot in place before
@@ -294,7 +320,6 @@ def _snapshot_core(core) -> Optional[_Snapshot]:
             or uop.semantic
             or uop.instr is None
             or uop.ras_snapshot is not None
-            or uop.src_values
         ):
             return None
         shot = _UopShot(uop, index_of, seq0)
@@ -547,7 +572,6 @@ def _sigma_match(core, snap: _Snapshot, commits: Sequence[UOp]) -> Optional[_Mat
             or live.from_interrupt
             or live.squashed
             or live.semantic
-            or live.src_values
             or live.ras_snapshot is not None
             or live.macro_first != shot.macro_first
             or live.macro_last != shot.macro_last
@@ -666,10 +690,10 @@ def _build_template(commits: Sequence[UOp]) -> Optional[List[Tuple]]:
             return None
         op = uop.op
         nsrc = len(uop.src_regs)
-        if op is Op.STORE:
+        if op is _STORE:
             if nsrc < 2:
                 return None
-        elif op in (Op.MOV, Op.SHL, Op.SHR, Op.BEQ, Op.BNE, Op.BLT, Op.BGE):
+        elif op in _NEEDS_SRC0_OPS:
             if nsrc < 1:
                 return None
         body.append((uop.op, uop.dest, uop.src_regs, uop.imm, uop.target, uop.pc))
@@ -705,7 +729,7 @@ def _evaluate(
         addr = None
         store_value = 0
         taken = False
-        if op is Op.LOAD:
+        if op is _LOAD:
             if src_regs:
                 addr = (regs[src_regs[0]] + imm) & MASK64
             else:
@@ -713,48 +737,48 @@ def _evaluate(
             if (addr & ~0x7) in store_words:
                 return records, regs_at, p
             result = shared_read(addr)
-        elif op is Op.STORE:
+        elif op is _STORE:
             if src_regs:
                 addr = (regs[src_regs[0]] + imm) & MASK64
             else:
                 addr = imm
             store_value = regs[src_regs[1]]
             store_words.add(addr & ~0x7)
-        elif op is Op.JMP:
+        elif op is _JMP:
             taken = True
-        elif op in _BRANCH_OPS:
+        elif op is _BEQ or op is _BNE or op is _BLT or op is _BGE:
             lhs = regs[src_regs[0]]
             rhs = regs[src_regs[1]] if len(src_regs) > 1 else imm
-            if op is Op.BEQ:
+            if op is _BEQ:
                 taken = lhs == rhs
-            elif op is Op.BNE:
+            elif op is _BNE:
                 taken = lhs != rhs
-            elif op is Op.BLT:
+            elif op is _BLT:
                 taken = _signed(lhs) < _signed(rhs)
             else:  # BGE
                 taken = _signed(lhs) >= _signed(rhs)
-        elif op is Op.MOVI:
+        elif op is _MOVI:
             result = imm & MASK64
-        elif op is Op.MOV:
+        elif op is _MOV:
             result = regs[src_regs[0]]
-        elif op is Op.SHL:
+        elif op is _SHL:
             result = (regs[src_regs[0]] << (imm & 63)) & MASK64
-        elif op is Op.SHR:
+        elif op is _SHR:
             result = (regs[src_regs[0]] & MASK64) >> (imm & 63)
         else:
             a = regs[src_regs[0]] if src_regs else 0
             b = regs[src_regs[1]] if len(src_regs) > 1 else imm
-            if op in (Op.ADD, Op.FADD):
+            if op is _ADD or op is _FADD:
                 result = (a + b) & MASK64
-            elif op is Op.SUB:
+            elif op is _SUB:
                 result = (a - b) & MASK64
-            elif op in (Op.MUL, Op.FMUL):
+            elif op is _MUL or op is _FMUL:
                 result = (a * b) & MASK64
-            elif op in (Op.DIV, Op.FDIV):
+            elif op is _DIV or op is _FDIV:
                 result = (a // b) & MASK64 if b else 0
-            elif op is Op.AND:
+            elif op is _AND:
                 result = a & b
-            elif op is Op.OR:
+            elif op is _OR:
                 result = a | b
             else:  # XOR
                 result = (a ^ b) & MASK64
@@ -781,9 +805,9 @@ def _values_ok(u, rec: Tuple, op) -> bool:
         if u.pred_taken != taken or (taken and u.pred_target != u.target):
             return False
     if u.state >= ST_EXECUTING:
-        if op is Op.LOAD:
+        if op is _LOAD:
             return u.addr == addr and u.result == result
-        if op is Op.STORE:
+        if op is _STORE:
             return u.addr == addr and u.store_value == store_value
         if op in _BRANCH_OPS:
             return u.actual_taken == taken and u.actual_target == u.target
@@ -1102,7 +1126,7 @@ class MacroController:
             if forwarded or pos < 0 or pos >= cc + rob_len:
                 ok = False
                 break
-            expected = Op.LOAD if is_load else Op.STORE
+            expected = _LOAD if is_load else _STORE
             if body[pos % cc][0] is not expected or records[pos][1] != addr:
                 ok = False
                 break
@@ -1161,7 +1185,7 @@ class MacroController:
         shift_seq = n * cc
         # Architectural registers and the committed store write-set.
         core.arch_regs[:] = regs_at[n + 1]
-        store_slots = [j for j in range(cc) if body[j][0] is Op.STORE]
+        store_slots = [j for j in range(cc) if body[j][0] is _STORE]
         if store_slots:
             shared = core.shared
             core_id = core.core_id
@@ -1198,10 +1222,10 @@ class MacroController:
             if uop.state >= ST_EXECUTING:
                 result, addr, store_value, taken = records[base + i]
                 op = uop.op
-                if op is Op.LOAD:
+                if op is _LOAD:
                     uop.addr = addr
                     uop.result = result
-                elif op is Op.STORE:
+                elif op is _STORE:
                     uop.addr = addr
                     uop.store_value = store_value
                 elif op in _BRANCH_OPS:

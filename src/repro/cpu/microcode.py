@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from repro.cpu.backend import OP_META, OpMeta
 from repro.cpu.config import TimingParams
 from repro.cpu.isa import Op, RegNames
 
@@ -53,11 +54,14 @@ class MicroOp:
     #: Derived source-register tuple, computed once at construction so the
     #: dispatch hot path instantiates the template by copy.
     src_regs: Tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    #: The op's decoded record, resolved once at construction likewise.
+    meta: OpMeta = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "src_regs", tuple(r for r in (self.src1, self.src2) if r is not None)
         )
+        object.__setattr__(self, "meta", OP_META[self.op])
 
 
 # Semantic tags (shared with the core's commit logic)

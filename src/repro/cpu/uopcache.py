@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.cpu.isa import Instruction, Op
+from repro.cpu.backend import OP_META, OpMeta
+from repro.cpu.isa import Instruction
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,11 +30,11 @@ class UopCacheEntry:
     """One cached decoded micro-op (the 'encoding' of §4.4, with its
     safepoint bit).
 
-    The entry is the *full* decoded template: everything
-    ``Core._dispatch_instruction`` needs to instantiate a µop — operation,
-    register slots, immediate, branch target, extra issue latency, and the
-    safepoint bit — so a hit skips re-deriving the decoded form entirely and
-    builds the µop by cheap copy.
+    The entry is the *full* decoded template: everything the fetch stage
+    needs to instantiate a µop — the op's decoded record, register slots,
+    immediate, branch target, extra issue latency, and the safepoint bit —
+    so a hit skips re-deriving the decoded form entirely and builds the µop
+    by cheap copy.
     """
 
     pc: int
@@ -42,9 +43,8 @@ class UopCacheEntry:
     imm: int
     target: Optional[int]
     safepoint: bool
-    op_name: str
-    #: The operation itself (op_name is kept for display/back-compat).
-    op: Optional[Op] = None
+    #: The operation's decoded record (:data:`repro.cpu.backend.OP_META`).
+    meta: OpMeta
     #: Extra issue latency baked into the decoded form (e.g. the stui stall).
     extra_latency: int = 0
 
@@ -100,8 +100,7 @@ class UopCache:
             imm=instruction.imm,
             target=instruction.target if isinstance(instruction.target, int) else None,
             safepoint=instruction.safepoint,
-            op_name=instruction.op.name,
-            op=instruction.op,
+            meta=OP_META[instruction.op],
             extra_latency=extra_latency,
         )
         entries = self._set_for(pc)

@@ -27,6 +27,7 @@ ALL_RULE_IDS = (
     "PRO102",
     "PRO103",
     "PRO104",
+    "PRO105",
     "STA201",
     "STA202",
     "STA203",
@@ -161,6 +162,41 @@ def test_scenariocompile_shaped_fixture_flags_purity():
 def test_scenariocompile_shaped_fixture_clean_twin_passes():
     report = scan("scenariocompile_good.py")
     assert not any(f.rule_id == "PRO104" for f in report.new_findings)
+
+
+def test_pro105_flags_member_reads_in_function_bodies():
+    report = scan("pro105_bad.py")
+    found = [(f.line, f.message) for f in report.new_findings if f.rule_id == "PRO105"]
+    messages = [m for _, m in found]
+    assert any("commit reads enum member Op.LOAD" in m for m in messages)
+    assert any("commit reads enum member Op.STORE" in m for m in messages)
+    # Aliased (`Op as Opcode`) and package-qualified (`isa.Op`) reads too.
+    assert sum("is_halt reads enum member Op.HALT" in m for m in messages) == 2
+    assert any("<lambda> reads enum member Op.UIRET" in m for m in messages)
+    assert len(found) == 5
+
+
+def test_pro105_only_applies_to_hot_path_modules():
+    # No pragma, not in HOT_PATH_MODULES: enum reads are fine elsewhere.
+    report = scan("pro103_bad.py")
+    assert not any(f.rule_id == "PRO105" for f in report.new_findings)
+
+
+def test_hot_path_modules_scan_clean_under_their_real_names():
+    """The real cycle-tier hot path, scanned with its dotted module names:
+    the manifest matches real files and none of them reads an Op member
+    inside a function."""
+    from repro.analysis.rules.protocol import HOT_PATH_MODULES
+
+    repo_root = Path(__file__).resolve().parents[2]
+    paths = [
+        repo_root / "src" / Path(*module.split(".")).with_suffix(".py")
+        for module in HOT_PATH_MODULES
+    ]
+    assert all(path.exists() for path in paths)
+    assert {"repro.cpu.core", "repro.cpu.macroop"} <= set(HOT_PATH_MODULES)
+    report = run_rules(paths)
+    assert not any(f.rule_id == "PRO105" for f in report.new_findings)
 
 
 def test_pure_modules_pin_the_scenario_compiler():

@@ -144,8 +144,7 @@ class TestFullTemplate:
         instruction = isa.addi(1, 1, 1)
         cache.fill(9, instruction, dest=1, src_regs=(1,), extra_latency=7)
         entry = cache.lookup(9)
-        assert entry.op is instruction.op
-        assert entry.op_name == instruction.op.name
+        assert entry.meta.op is instruction.op
         assert entry.extra_latency == 7
 
     def test_extra_latency_defaults_to_zero(self):
